@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "kleb/log_recovery.hh"
 #include "tools/harness.hh"
 #include "workload/microbench.hh"
 
@@ -65,6 +66,7 @@ main(int argc, char **argv)
             cfg.seed = 9;
             cfg.period = msToTicks(1);
             cfg.supervise = true;
+            cfg.keepDurableBytes = true;
             // Must comfortably exceed the controller's 10 ms drain
             // cadence (each successful drain is a heartbeat), while
             // still catching the hang row within the run.
@@ -88,17 +90,19 @@ main(int argc, char **argv)
                  "Injections"});
     for (std::size_t k = 0; k < scenarios.size(); ++k) {
         const RunResult &r = results[k];
+        const kleb::RecoveryReport rec =
+            kleb::LogRecovery::scan(r.durableBytes).report;
         table.addRow(
             {scenarios[k].label, toFixed(ticksToMs(r.lifetime), 2),
              std::to_string(r.samples),
-             std::to_string(r.recovery.samplesRecovered),
-             std::to_string(r.recovery.framesKept),
-             std::to_string(r.recovery.framesDropped),
-             std::to_string(r.recovery.framesVanished),
-             toFixed(ticksToMs(r.recovery.gapTicks), 2),
+             std::to_string(rec.samplesRecovered),
+             std::to_string(rec.framesKept),
+             std::to_string(rec.framesDropped),
+             std::to_string(rec.framesVanished),
+             toFixed(ticksToMs(rec.gapTicks), 2),
              std::to_string(r.supervisor.restarts),
              toFixed(ticksToMs(r.supervisor.totalOutage), 2),
-             r.recovery.balanced() ? "yes" : "NO",
+             rec.balanced() ? "yes" : "NO",
              std::to_string(r.faultsInjected)});
     }
     table.print();

@@ -1,12 +1,10 @@
 /**
  * @file
- * Thread-safety annotations and instrumentation hooks.
+ * Thread-safety annotations.
  *
- * Every ROADMAP scale item (per-CPU K-LEB sessions, fleet-scale
- * collection, machine-level parallel execution) threads simulation
- * state that today is only exercised single-threaded outside
- * bench::TrialPool.  This header is the machine-checked contract
- * that lets that happen safely, in three layers:
+ * bench::TrialPool and the fleet run whole simulated machines on
+ * worker threads, so the state they share across host threads is
+ * checked by two detectors:
  *
  *  1. **Static annotations** — KLEB_GUARDED_BY / KLEB_REQUIRES /
  *     KLEB_EXCLUDES / KLEB_ACQUIRE / KLEB_RELEASE expand to Clang
@@ -14,22 +12,15 @@
  *     `thread-safety` job builds with -Wthread-safety -Werror) and
  *     to nothing under other compilers.
  *
- *  2. **TrackedMutex / TrackedLock** — a std::mutex wrapper that is
- *     (a) an annotated capability the static analysis understands
- *     and (b) registered with the runtime lockset checker, so the
- *     same lock discipline is checked both at compile time and
- *     under test.  Direct .lock()/.unlock() calls are banned by the
- *     `mutex-raii` lint rule; use TrackedLock (or std::lock_guard
- *     over a plain std::mutex where no annotation is needed).
+ *  2. **TSan** — the CI `tsan` job runs the whole test suite and
+ *     the parallel smoke benches under -fsanitize=thread, which
+ *     reports any unsynchronised access that actually happens.
  *
- *  3. **Access hooks** — KLEB_ANNOTATE_ACCESS/KLEB_ANNOTATE_READ
- *     mark shared-state touch points (EventQueue mutation, DurableLog
- *     appends, TrialPool result slots, ...).  They are zero-cost
- *     when off, like the fault hooks: a relaxed global-pointer null
- *     check guards every call, and no sink is installed outside
- *     tests/CI.  analysis::LocksetChecker installs itself as the
- *     sink and runs the Eraser lockset algorithm over the stream of
- *     lock/unlock/access events (DESIGN.md section 13).
+ * TrackedMutex / TrackedLock are the annotated capability and its
+ * RAII holder that the static analysis understands.  Direct
+ * .lock()/.unlock() calls are banned by the `mutex-raii` lint rule;
+ * use TrackedLock (or std::lock_guard over a plain std::mutex where
+ * no annotation is needed).
  *
  * KLEB_HOT additionally marks allocation-free hot functions: the
  * `hot-alloc` lint rule rejects new/make_unique/make_shared and
@@ -39,8 +30,6 @@
 #ifndef KLEBSIM_BASE_THREAD_SAFETY_HH
 #define KLEBSIM_BASE_THREAD_SAFETY_HH
 
-#include <atomic>
-#include <cstdint>
 #include <mutex>
 
 #if defined(__clang__)
@@ -92,95 +81,24 @@ namespace klebsim
 {
 
 /**
- * Receiver for lock/unlock/access events from TrackedMutex and the
- * KLEB_ANNOTATE_* hooks.  At most one sink is installed at a time
- * (analysis::LocksetChecker in tests); callbacks may arrive
- * concurrently from any thread.
- */
-class ThreadSafetySink
-{
-  public:
-    virtual ~ThreadSafetySink();
-
-    /** @p id acquired by the calling thread. */
-    virtual void onLock(std::uint32_t id, const char *name) = 0;
-
-    /** @p id released by the calling thread. */
-    virtual void onUnlock(std::uint32_t id, const char *name) = 0;
-
-    /** Shared location @p addr touched at annotation site @p site. */
-    virtual void onAccess(const void *addr, const char *site,
-                          bool write) = 0;
-};
-
-namespace detail
-{
-/** The installed sink; null (hooks disabled) outside tests. */
-inline std::atomic<ThreadSafetySink *> tsSink{nullptr};
-
-/** Monotonic TrackedMutex id source (0 is never assigned). */
-inline std::atomic<std::uint32_t> tsNextMutexId{0};
-} // namespace detail
-
-inline ThreadSafetySink *
-threadSafetySink()
-{
-    // Acquire pairs with the release in setThreadSafetySink so a
-    // sink installed before worker threads spawn is fully visible
-    // to them.
-    return detail::tsSink.load(std::memory_order_acquire);
-}
-
-/** Install (or, with null, remove) the global sink. */
-inline void
-setThreadSafetySink(ThreadSafetySink *sink)
-{
-    detail::tsSink.store(sink, std::memory_order_release);
-}
-
-/**
- * A std::mutex that is both a clang-TSA capability and a
- * lockset-checker-registered lock.  Lock it with TrackedLock; the
- * `mutex-raii` lint rule bans bare .lock()/.unlock() calls
- * everywhere except this header's own implementation.
+ * A std::mutex that is a clang-TSA capability.  Lock it with
+ * TrackedLock; the `mutex-raii` lint rule bans bare .lock()/.unlock()
+ * calls everywhere except this header's own implementation.
  */
 class KLEB_CAPABILITY("mutex") TrackedMutex
 {
   public:
-    explicit TrackedMutex(const char *name = "mutex")
-        : id_(detail::tsNextMutexId.fetch_add(
-                  1, std::memory_order_relaxed) +
-              1),
-          name_(name)
-    {
-    }
+    TrackedMutex() = default;
 
     TrackedMutex(const TrackedMutex &) = delete;
     TrackedMutex &operator=(const TrackedMutex &) = delete;
 
-    void
-    lock() KLEB_ACQUIRE()
-    {
-        m_.lock();
-        if (ThreadSafetySink *sink = threadSafetySink())
-            sink->onLock(id_, name_);
-    }
+    void lock() KLEB_ACQUIRE() { m_.lock(); }
 
-    void
-    unlock() KLEB_RELEASE()
-    {
-        if (ThreadSafetySink *sink = threadSafetySink())
-            sink->onUnlock(id_, name_);
-        m_.unlock();
-    }
-
-    std::uint32_t id() const { return id_; }
-    const char *name() const { return name_; }
+    void unlock() KLEB_RELEASE() { m_.unlock(); }
 
   private:
     std::mutex m_;
-    const std::uint32_t id_;
-    const char *name_;
 };
 
 /** Scoped TrackedMutex holder (the only sanctioned way to lock). */
@@ -202,27 +120,5 @@ class KLEB_SCOPED_CAPABILITY TrackedLock
 };
 
 } // namespace klebsim
-
-/**
- * Mark a write to shared state identified by @p addr.  @p site is a
- * stable dotted name ("sim.EventQueue.pending") used in reports.
- * Compiles to a relaxed null check when no sink is installed.
- */
-#define KLEB_ANNOTATE_ACCESS(addr, site)                            \
-    do {                                                            \
-        if (::klebsim::ThreadSafetySink *kleb_ts_sink_ =            \
-                ::klebsim::threadSafetySink())                      \
-            kleb_ts_sink_->onAccess(                                \
-                static_cast<const void *>(addr), site, true);       \
-    } while (0)
-
-/** Mark a read of shared state (read-shared data never races). */
-#define KLEB_ANNOTATE_READ(addr, site)                              \
-    do {                                                            \
-        if (::klebsim::ThreadSafetySink *kleb_ts_sink_ =            \
-                ::klebsim::threadSafetySink())                      \
-            kleb_ts_sink_->onAccess(                                \
-                static_cast<const void *>(addr), site, false);      \
-    } while (0)
 
 #endif // KLEBSIM_BASE_THREAD_SAFETY_HH

@@ -1,7 +1,5 @@
 #include "system.hh"
 
-#include "base/thread_safety.hh"
-
 namespace klebsim::kernel
 {
 
@@ -30,9 +28,7 @@ Tick
 System::run(Tick limit)
 {
     // Whole-machine advance is owned by one thread (trials never
-    // share a System); mark it so a lockset-checked test catches a
-    // System accidentally driven from two workers.
-    KLEB_ANNOTATE_ACCESS(this, "kernel.System.run");
+    // share a System); TSan reports a System driven from two workers.
     if (limit == maxTick) {
         eq_.runAll();
         return eq_.curTick();

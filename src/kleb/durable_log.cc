@@ -3,7 +3,6 @@
 #include <array>
 
 #include "base/logging.hh"
-#include "base/thread_safety.hh"
 
 namespace klebsim::kleb
 {
@@ -81,9 +80,7 @@ DurableLog::writeFrame(FrameKind kind, Tick timestamp,
                        const Sample &s)
 {
     // The byte image is single-writer by contract (one controller
-    // incarnation at a time); instrumented so a lockset-checked test
-    // catches two incarnations ever appending concurrently.
-    KLEB_ANNOTATE_ACCESS(&bytes_, "kleb.DurableLog.bytes");
+    // incarnation at a time, all on the System's one host thread).
     const std::size_t at = bytes_.size();
     bytes_.resize(at + frameSize, 0);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/thread_safety.hh"
 #include "hw/pmu.hh"
 
 namespace klebsim::kleb
@@ -475,7 +474,6 @@ KLebModule::foldActiveDelta()
     PerCpuState &pc = slot(activeCore_);
     if (!pc.programmed || pc.degraded)
         return;
-    KLEB_ANNOTATE_ACCESS(&carried_, "kleb.KLebModule.carried");
     for (std::size_t i = 0; i < counterMap_.size(); ++i) {
         std::uint64_t v = readCorrected(activeCore_, i);
         carried_[i] += v - pc.base[i];
@@ -523,7 +521,6 @@ KLebModule::recordSample(SampleCause cause)
         // Only reachable off the happy path (final snapshot on a
         // core that never earned a ring): the spill queue is the
         // sample's home, it is never silently lost.
-        KLEB_ANNOTATE_ACCESS(&spill_, "kleb.KLebModule.spill");
         spill_.push_back(s);
         ++samplesKept_;
         return;
@@ -552,7 +549,6 @@ KLebModule::recordMarker(SampleCause cause, CoreId core)
     s.numEvents = static_cast<std::uint8_t>(counterMap_.size());
     s.core = static_cast<std::uint16_t>(core);
     currentCounts(s);
-    KLEB_ANNOTATE_ACCESS(&spill_, "kleb.KLebModule.spill");
     spill_.push_back(s);
     ++coreMarkers_;
 }
@@ -628,7 +624,6 @@ KLebModule::onSwitch(kernel::Process *prev, kernel::Process *next,
     if (core != activeCore_) {
         // Migrate-in: settle the old core, then claim and program
         // this one.
-        KLEB_ANNOTATE_ACCESS(&pc, "kleb.KLebModule.percpu");
         foldActiveDelta();
         if (pc.degraded) {
             ++lostToContention_;
@@ -672,7 +667,6 @@ void
 KLebModule::quiesceCore(CoreId core)
 {
     PerCpuState &pc = slot(core);
-    KLEB_ANNOTATE_ACCESS(&pc, "kleb.KLebModule.percpu");
 
     // Snapshot before the hardware vanishes: if this is the active
     // core, settle its delta into carried_ now (attributing any
@@ -686,7 +680,6 @@ KLebModule::quiesceCore(CoreId core)
     // merged by timestamp so the drain stays globally ordered —
     // then journal the outage marker after them.
     if (pc.ring && !pc.ring->empty() && arena_.capacity() > 0) {
-        KLEB_ANNOTATE_ACCESS(&spill_, "kleb.KLebModule.spill");
         std::size_t old_size = spill_.size();
         while (!pc.ring->empty()) {
             std::size_t n =
@@ -737,7 +730,6 @@ KLebModule::onCpuEvent(CoreId core, kernel::CpuEvent event)
         break;
       case kernel::CpuEvent::online: {
         PerCpuState &pc = slot(core);
-        KLEB_ANNOTATE_ACCESS(&pc, "kleb.KLebModule.percpu");
         // Fresh silicon: contention verdicts and pause state from
         // before the outage no longer apply.
         pc.paused = false;

@@ -171,11 +171,9 @@ class EventQueueListener
 
 /**
  * The global-ordering event queue.  Single-threaded by design; the
- * simulated machine owns exactly one.  The mutating entry points are
- * instrumented as the "sim.EventQueue.pending" shared location
- * (base/thread_safety.hh), so a lockset-checked test catches any two
- * threads that ever touch the same queue — the single-owner contract
- * is enforced, not just documented.
+ * simulated machine owns exactly one, and every simulated core runs
+ * on the host thread that drives it.  Two host threads touching the
+ * same queue is a data race that the TSan CI job reports.
  */
 class EventQueue
 {

@@ -3,7 +3,6 @@
 #include "base/logging.hh"
 #include "bench_support/trial_pool.hh"
 #include "fault/fault_injector.hh"
-#include "hw/perf_event.hh"
 #include "instrumented.hh"
 #include "kernel/system.hh"
 #include "kleb/session.hh"
@@ -239,26 +238,14 @@ runOnce(const RunConfig &cfg)
         if (const kleb::RateGovernor *gov =
                 kleb_session->governor())
             result.governor = gov->stats();
-        if (const kleb::DurableLog *dlog =
-                kleb_session->durableLog()) {
-            // Crash recovery runs over a copy of the medium so the
-            // post-run corruption faults (torn tail, bitflips)
-            // never touch the live session state.
-            std::vector<std::uint8_t> medium = dlog->bytes();
+        const kleb::DurableLog *dlog = kleb_session->durableLog();
+        if (dlog && cfg.keepDurableBytes) {
+            // The post-run corruption faults (torn tail, bitflips)
+            // hit a copy of the medium, never the live session.
+            result.durableBytes = dlog->bytes();
             if (injector)
-                injector->corruptLog(medium,
+                injector->corruptLog(result.durableBytes,
                                      kleb::DurableLog::headerSize);
-            kleb::RecoveredLog rec = kleb::LogRecovery::scan(medium);
-            result.recovery = rec.report;
-            result.rateChanges = rec.rateChanges;
-            std::vector<std::string> names;
-            names.reserve(cfg.events.size());
-            for (hw::HwEvent ev : cfg.events)
-                names.emplace_back(hw::eventName(ev));
-            result.recoveredSeries =
-                kleb::LogRecovery::splice(rec, names);
-            if (cfg.keepDurableBytes)
-                result.durableBytes = std::move(medium);
         }
         break;
       }

@@ -21,7 +21,6 @@
 #include "hw/machine_config.hh"
 #include "kernel/cost_model.hh"
 #include "kleb/kleb_config.hh"
-#include "kleb/log_recovery.hh"
 #include "kleb/rate_governor.hh"
 #include "kleb/supervisor.hh"
 #include "stats/time_series.hh"
@@ -124,9 +123,10 @@ struct RunConfig
 
     /**
      * Keep a copy of the raw durable-log medium (post fault
-     * corruption) in RunResult::durableBytes.  The fleet collector
-     * streams those epoch-framed records off the machine; plain
-     * benches leave this off to avoid the copy.
+     * corruption) in RunResult::durableBytes.  The harness never
+     * reads the log back: callers that want the recovered samples
+     * run kleb::LogRecovery::scan over those bytes themselves (the
+     * fleet uplink, the crash-recovery ablation).
      */
     bool keepDurableBytes = false;
 
@@ -200,12 +200,6 @@ struct RunResult
 
     /** @{ Crash-recovery outcome (durable-log runs only). */
 
-    /** Scan report over the (possibly corrupted) durable log. */
-    kleb::RecoveryReport recovery{};
-
-    /** Recovered, gap-annotated series spliced from the log. */
-    std::optional<stats::TimeSeries> recoveredSeries;
-
     /** Raw durable-log medium (RunConfig::keepDurableBytes only). */
     std::vector<std::uint8_t> durableBytes;
 
@@ -216,9 +210,6 @@ struct RunResult
 
     /** Governor bookkeeping (zero unless RunConfig::adaptive). */
     kleb::RateGovernor::Stats governor{};
-
-    /** Rate changes recovered from the durable log. */
-    std::vector<kleb::RateChangeRecord> rateChanges;
 
     /** Context switches the kernel performed during the run. */
     std::uint64_t contextSwitches = 0;

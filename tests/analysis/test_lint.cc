@@ -14,6 +14,26 @@ using analysis::LintViolation;
 namespace
 {
 
+namespace fs = std::filesystem;
+
+/**
+ * The checkout kleb_tests was built from (tests/CMakeLists.txt), so
+ * the real-tree tests run from any working directory.
+ */
+const fs::path sourceRoot{KLEB_SOURCE_DIR};
+
+/** Load the shipped allowlist; a missing tree fails the test. */
+::testing::AssertionResult
+loadShippedAllowlist(Linter &linter)
+{
+    std::string err;
+    if (linter.loadAllowlist(
+            (sourceRoot / "tools" / "lint_allowlist.txt").string(),
+            &err))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << err;
+}
+
 std::vector<std::string>
 ruleIds(const std::vector<LintViolation> &vs)
 {
@@ -184,15 +204,9 @@ TEST(Lint, HotStdFunctionCleanOnRealTree)
     // The substrate itself must pass its own rule (modulo the
     // shipped allowlist's justified carve-outs) — this is what the
     // `lint.sources` tier-1 test enforces repo-wide.
-    namespace fs = std::filesystem;
-    if (!fs::exists(fs::path("tools") / "lint_allowlist.txt"))
-        GTEST_SKIP() << "run from the repo root to check the tree";
     Linter linter;
-    std::string err;
-    ASSERT_TRUE(linter.loadAllowlist("tools/lint_allowlist.txt",
-                                     &err))
-        << err;
-    for (const auto &v : linter.scanTree("."))
+    ASSERT_TRUE(loadShippedAllowlist(linter));
+    for (const auto &v : linter.scanTree(sourceRoot.string()))
         EXPECT_NE(v.rule, "hot-std-function") << v.str();
 }
 
@@ -426,12 +440,10 @@ TEST(Lint, FaultHookCoverageCleanOnRealTree)
 {
     // The shipped registry must be fully wired (this is the check
     // the `lint.sources` tier-1 test runs over the repo).
-    namespace fs = std::filesystem;
-    fs::path def = fs::path("src") / "fault" / "fault_points.def";
-    if (!fs::exists(def))
-        GTEST_SKIP() << "run from the repo root to check the tree";
+    fs::path def = sourceRoot / "src" / "fault" / "fault_points.def";
+    ASSERT_TRUE(fs::exists(def)) << def << " not found";
     Linter linter;
-    for (const auto &v : linter.scanTree("."))
+    for (const auto &v : linter.scanTree(sourceRoot.string()))
         EXPECT_NE(v.rule, "fault-hook-coverage") << v.str();
 }
 
@@ -484,12 +496,10 @@ TEST(Lint, HeartbeatCoverageCleanOnRealTree)
 {
     // Every controller.* / log.* fault point shipped must be
     // injected by at least one chaos test (part of `lint.sources`).
-    namespace fs = std::filesystem;
-    fs::path def = fs::path("src") / "fault" / "fault_points.def";
-    if (!fs::exists(def))
-        GTEST_SKIP() << "run from the repo root to check the tree";
+    fs::path def = sourceRoot / "src" / "fault" / "fault_points.def";
+    ASSERT_TRUE(fs::exists(def)) << def << " not found";
     Linter linter;
-    for (const auto &v : linter.scanTree("."))
+    for (const auto &v : linter.scanTree(sourceRoot.string()))
         EXPECT_NE(v.rule, "heartbeat-coverage") << v.str();
 }
 
@@ -534,15 +544,9 @@ TEST(Lint, AllowlistCleanOnRealTree)
 {
     // The shipped allowlist must not carry carve-outs for files
     // that no longer exist.
-    namespace fs = std::filesystem;
-    if (!fs::exists(fs::path("tools") / "lint_allowlist.txt"))
-        GTEST_SKIP() << "run from the repo root to check the tree";
     Linter linter;
-    std::string err;
-    ASSERT_TRUE(linter.loadAllowlist("tools/lint_allowlist.txt",
-                                     &err))
-        << err;
-    for (const auto &v : linter.scanTree("."))
+    ASSERT_TRUE(loadShippedAllowlist(linter));
+    for (const auto &v : linter.scanTree(sourceRoot.string()))
         EXPECT_NE(v.rule, "allowlist-dangling") << v.str();
 }
 

@@ -238,9 +238,10 @@ TEST(RingBuffer, BulkOpsMatchScalarReference)
                 ASSERT_EQ(got[i], ref) << "step " << step;
             }
             int spare = 0;
-            if (drained < n)
+            if (drained < n) {
                 ASSERT_FALSE(scalar.pop(spare))
                     << "step " << step;
+            }
         }
         ASSERT_EQ(bulk.size(), scalar.size()) << "step " << step;
     }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "analysis/event_trace.hh"
-#include "analysis/lockset.hh"
 #include "bench_support/trial_pool.hh"
 #include "kernel/system.hh"
 #include "workload/microbench.hh"
@@ -153,44 +152,6 @@ TEST(TrialPool, SeedMixerDecorrelatesAdjacentTrials)
     // And must not be the old correlated base+trial derivation.
     EXPECT_NE(trialSeed(1, 0, 1), 2u);
     EXPECT_NE(trialSeed(1, 0, 1), trialSeed(1, 0, 0) + 1);
-}
-
-TEST(TrialPool, LocksetCheckedRunIsClean)
-{
-    // The pool's own shared state (the failure slot, the per-trial
-    // result slots, the simulated machines inside each trial) must
-    // satisfy the Eraser lockset discipline: fan real simulation
-    // trials out across workers with the checker installed and
-    // expect zero reports.  A double-dispatched trial index or a
-    // System shared across workers would fire here.
-    klebsim::analysis::ScopedLockset scoped;
-    TrialPool pool(4);
-    auto prints = pool.map(8, [](std::size_t i) {
-        return traceFingerprint(0x10c5e7 + i);
-    });
-    EXPECT_EQ(prints.size(), 8u);
-    for (const auto &r : scoped->reports())
-        ADD_FAILURE() << r.str();
-    EXPECT_GT(scoped->accessesObserved(), 8u)
-        << "instrumentation hooks never fired";
-}
-
-TEST(TrialPool, LocksetSeesFailureSlotLocking)
-{
-    // The failure slot's TrackedMutex reports through the sink even
-    // when trials throw from several workers at once; the lockset
-    // over the slot must stay consistent (no reports).
-    klebsim::analysis::ScopedLockset scoped;
-    TrialPool pool(4);
-    try {
-        pool.runIndexed(8, [](std::size_t i) {
-            throw std::runtime_error("trial " + std::to_string(i));
-        });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &) {
-    }
-    for (const auto &r : scoped->reports())
-        ADD_FAILURE() << r.str();
 }
 
 TEST(TrialPool, TryMapRecordsFailuresInAscendingOrder)

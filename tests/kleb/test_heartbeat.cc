@@ -6,8 +6,8 @@
  * models true shared memory, so its fields are std::atomic: a
  * stamping writer and a polling reader must never tear a Tick or
  * lose a beat.  These tests drive the cell from real host threads —
- * under the lockset-chaos CI job they also run under TSan, which
- * would flag any regression back to plain fields immediately.
+ * the CI `tsan` job runs them under TSan, which would flag any
+ * regression back to plain fields immediately.
  */
 
 #include <gtest/gtest.h>

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "kleb/log_recovery.hh"
 #include "tools/harness.hh"
 #include "workload/microbench.hh"
 
@@ -118,4 +119,38 @@ TEST(Harness, KLebStatusPropagated)
     EXPECT_EQ(r.klebStatus.samplesDropped, 0u);
     ASSERT_TRUE(r.series.has_value());
     EXPECT_EQ(r.series->size(), r.samples);
+}
+
+TEST(Harness, KeptDurableLogScansBackToTheLiveSamples)
+{
+    RunConfig cfg = smallConfig(ToolKind::kleb);
+    cfg.durableLog = true;
+    cfg.keepDurableBytes = true;
+    RunResult r = runOnce(cfg);
+    ASSERT_FALSE(r.durableBytes.empty());
+    kleb::RecoveryReport rep =
+        kleb::LogRecovery::scan(r.durableBytes).report;
+    EXPECT_TRUE(rep.valid);
+    EXPECT_TRUE(rep.balanced());
+    EXPECT_EQ(rep.samplesRecovered, r.samples);
+    EXPECT_EQ(rep.framesDropped, 0u);
+}
+
+TEST(Harness, KeptDurableLogIsThePostCorruptionMedium)
+{
+    // The harness corrupts a copy of the medium after the run and
+    // hands that copy back: the scan sees the flipped frames.
+    RunConfig cfg = smallConfig(ToolKind::kleb);
+    cfg.durableLog = true;
+    cfg.keepDurableBytes = true;
+    const RunResult clean = runOnce(cfg);
+    cfg.faultSpec = "log.bitflip=4";
+    const RunResult flipped = runOnce(cfg);
+    ASSERT_EQ(flipped.durableBytes.size(), clean.durableBytes.size());
+    EXPECT_NE(flipped.durableBytes, clean.durableBytes);
+    kleb::RecoveryReport rep =
+        kleb::LogRecovery::scan(flipped.durableBytes).report;
+    EXPECT_TRUE(rep.valid);
+    EXPECT_TRUE(rep.balanced());
+    EXPECT_GT(rep.framesDropped, 0u);
 }
