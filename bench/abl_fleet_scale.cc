@@ -13,7 +13,9 @@
  *     a collector crash + journal-replay restart in the middle;
  *  2. throughput: the collector's merge path sustains millions of
  *     samples per wall-second, measured over a synthetic delivery
- *     stream large enough to dwarf constant costs.
+ *     stream large enough to dwarf constant costs.  The host
+ *     wall-clock rate goes to stderr so stdout stays the same from
+ *     run to run.
  *
  * --runs N sets the machine count (default 10000; --quick 256).
  * The machine-readable block under `fleet smoke CSV` is gated in CI
@@ -131,11 +133,12 @@ ingestRate(std::uint64_t records)
         std::chrono::duration<double>(t1 - t0).count();
     const double rate =
         secs > 0.0 ? static_cast<double>(made) / secs / 1e6 : 0.0;
-    std::printf("  collector merge: %llu samples in %.3f s -> "
-                "%.2f Msamples/s (accepted %llu)\n",
-                static_cast<unsigned long long>(made), secs, rate,
-                static_cast<unsigned long long>(
-                    collector.stats().accepted));
+    std::fprintf(stderr,
+                 "  collector merge: %llu samples in %.3f s -> "
+                 "%.2f Msamples/s (accepted %llu)\n",
+                 static_cast<unsigned long long>(made), secs, rate,
+                 static_cast<unsigned long long>(
+                     collector.stats().accepted));
     return rate;
 }
 
@@ -223,8 +226,8 @@ main(int argc, char **argv)
     }
     table.print();
 
-    std::printf("\nCollector ingest throughput (synthetic "
-                "stream):\n");
+    std::fprintf(stderr, "\nCollector ingest throughput (synthetic "
+                         "stream):\n");
     ingestRate(args.quick ? 200000 : 1000000);
 
     std::printf("\nfleet smoke CSV\n%s\n", smokeHeader);

@@ -6,8 +6,8 @@
 #include <fstream>
 #include <initializer_list>
 #include <map>
-#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "base/str.hh"
 #include "token_lexer.hh"
@@ -21,6 +21,8 @@ namespace
 {
 
 const char *const scannedDirs[] = {"src", "bench", "examples"};
+
+using Names = std::initializer_list<std::string_view>;
 
 bool
 sourceExtension(const fs::path &p)
@@ -46,71 +48,34 @@ trimmed(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-/**
- * Remove comments and the contents of string/char literals so that
- * documentation or a table heading mentioning a banned API does not
- * trip the rules.  Tracks block-comment state across lines; raw
- * string literals are treated like ordinary ones (good enough for a
- * lenient scan — a missed violation inside one is acceptable).
- */
+/** Split @p content into lines, without their '\n'. */
 std::vector<std::string>
-stripCommentsAndStrings(const std::vector<std::string> &lines)
+splitLines(const std::string &content)
 {
-    std::vector<std::string> out;
-    out.reserve(lines.size());
-    bool in_block = false;
-    for (const std::string &line : lines) {
-        std::string kept;
-        for (std::size_t i = 0; i < line.size();) {
-            if (in_block) {
-                if (line.compare(i, 2, "*/") == 0) {
-                    in_block = false;
-                    i += 2;
-                } else {
-                    ++i;
-                }
-                continue;
-            }
-            if (line.compare(i, 2, "/*") == 0) {
-                in_block = true;
-                i += 2;
-                continue;
-            }
-            if (line.compare(i, 2, "//") == 0)
-                break;
-            char c = line[i];
-            if (c == '"' || c == '\'') {
-                // Skip the literal body; literals do not span lines.
-                kept += c;
-                ++i;
-                while (i < line.size() && line[i] != c) {
-                    if (line[i] == '\\')
-                        ++i;
-                    ++i;
-                }
-                if (i < line.size()) {
-                    kept += c;
-                    ++i;
-                }
-                continue;
-            }
-            kept += c;
-            ++i;
-        }
-        out.push_back(std::move(kept));
-    }
-    return out;
+    std::vector<std::string> lines;
+    std::string line;
+    std::istringstream in(content);
+    while (std::getline(in, line))
+        lines.push_back(line);
+    return lines;
 }
 
-/** Rule ids the token engine implements structurally. */
-bool
-tokenImplemented(const std::string &id)
+/** Trimmed text of 1-based line @p lineno, or "" past the end. */
+std::string
+lineText(const std::vector<std::string> &lines, std::size_t lineno)
 {
-    return id == "wall-clock" || id == "raw-random" ||
-           id == "event-new" || id == "raw-thread" ||
-           id == "hot-std-function" || id == "printf-family" ||
-           id == "mutex-raii" || id == "hot-alloc" ||
-           id == "detached-thread" || id == "percpu-access";
+    return lineno >= 1 && lineno <= lines.size()
+               ? trimmed(lines[lineno - 1])
+               : std::string();
+}
+
+bool
+ruleApplies(const LintRule &rule, const std::string &rel_path)
+{
+    for (const std::string &dir : rule.dirs)
+        if (rel_path.starts_with(dir + "/"))
+            return true;
+    return false;
 }
 
 bool
@@ -140,16 +105,189 @@ isCoreishName(std::string_view name)
            nameContains(name, "cpu");
 }
 
-bool
-identIn(const Token &t,
-        std::initializer_list<std::string_view> names)
+} // anonymous namespace
+
+/**
+ * The token under test, the tokens after it, and whether it sits
+ * inside a KLEB_HOT function body.  Offsets are relative to the
+ * token under test; past the end of the stream nothing matches.
+ */
+struct TokenCursor
 {
-    if (t.kind != TokKind::identifier)
+    const std::vector<Token> &toks;
+    std::size_t i;
+    bool inHot;
+
+    const Token *
+    at(std::size_t k) const
+    {
+        return i + k < toks.size() ? &toks[i + k] : nullptr;
+    }
+
+    bool
+    ident(std::size_t k, std::string_view s) const
+    {
+        return at(k) && at(k)->isIdent(s);
+    }
+
+    bool
+    punct(std::size_t k, std::string_view s) const
+    {
+        return at(k) && at(k)->isPunct(s);
+    }
+
+    bool
+    identIn(std::size_t k, Names names) const
+    {
+        for (std::string_view n : names)
+            if (ident(k, n))
+                return true;
         return false;
-    for (std::string_view n : names)
-        if (t.text == n)
-            return true;
-    return false;
+    }
+
+    std::size_t line(std::size_t k = 0) const { return at(k)->line; }
+};
+
+namespace
+{
+
+/** `std :: name` for one of @p names. */
+bool
+stdName(const TokenCursor &c, Names names)
+{
+    return c.ident(0, "std") && c.punct(1, "::") &&
+           c.identIn(2, names);
+}
+
+/** `name (` for one of @p names: a call. */
+bool
+call(const TokenCursor &c, Names names)
+{
+    return c.identIn(0, names) && c.punct(1, "(");
+}
+
+/** `. name (` or `-> name (` for one of @p names: a member call. */
+bool
+memberCall(const TokenCursor &c, Names names)
+{
+    return (c.punct(0, ".") || c.punct(0, "->")) &&
+           c.identIn(1, names) && c.punct(2, "(");
+}
+
+std::size_t
+matchWallClock(const TokenCursor &c)
+{
+    const bool hostClock =
+        stdName(c, {"chrono"}) && c.punct(3, "::") &&
+        c.identIn(4, {"system_clock", "steady_clock",
+                      "high_resolution_clock"});
+    return hostClock || call(c, {"gettimeofday", "clock_gettime",
+                                 "localtime", "gmtime", "mktime",
+                                 "asctime", "ctime", "time"})
+               ? c.line()
+               : 0;
+}
+
+std::size_t
+matchRawRandom(const TokenCursor &c)
+{
+    const Token &t = *c.at(0);
+    return call(c, {"rand", "srand", "srandom", "drand48",
+                    "lrand48"}) ||
+                   stdName(c, {"random_device"}) ||
+                   (t.kind == TokKind::identifier &&
+                    t.text.starts_with("mt19937"))
+               ? c.line()
+               : 0;
+}
+
+std::size_t
+matchEventNew(const TokenCursor &c)
+{
+    if (!c.ident(0, "new"))
+        return 0;
+    std::size_t k = 1;
+    if (c.ident(k, "klebsim") && c.punct(k + 1, "::"))
+        k += 2;
+    if (c.ident(k, "sim") && c.punct(k + 1, "::"))
+        k += 2;
+    return c.ident(k, "EventFunctionWrapper") ? c.line() : 0;
+}
+
+std::size_t
+matchRawThread(const TokenCursor &c)
+{
+    return stdName(c, {"thread", "jthread"}) && !c.punct(3, "::")
+               ? c.line()
+               : 0;
+}
+
+std::size_t
+matchHotStdFunction(const TokenCursor &c)
+{
+    return stdName(c, {"function"}) && c.punct(3, "<") ? c.line()
+                                                        : 0;
+}
+
+std::size_t
+matchPrintfFamily(const TokenCursor &c)
+{
+    return call(c, {"printf", "fprintf", "sprintf", "snprintf",
+                    "vsnprintf", "vsprintf", "vfprintf", "puts",
+                    "putchar", "fputs"}) ||
+                   stdName(c, {"cout", "cerr"})
+               ? c.line()
+               : 0;
+}
+
+std::size_t
+matchMutexRaii(const TokenCursor &c)
+{
+    return memberCall(c, {"lock", "unlock"}) ? c.line(1) : 0;
+}
+
+std::size_t
+matchHotAlloc(const TokenCursor &c)
+{
+    if (!c.inHot)
+        return 0;
+    if (c.identIn(0, {"new", "make_unique", "make_shared"}))
+        return c.line();
+    return memberCall(c, {"push_back", "emplace_back", "resize",
+                          "reserve"})
+               ? c.line(1)
+               : 0;
+}
+
+std::size_t
+matchDetachedThread(const TokenCursor &c)
+{
+    return memberCall(c, {"detach"}) ? c.line(1) : 0;
+}
+
+std::size_t
+matchPerCpuAccess(const TokenCursor &c)
+{
+    const Token &t = *c.at(0);
+    if (t.kind != TokKind::identifier || !isPerCpuName(t.text) ||
+        !c.punct(1, "["))
+        return 0;
+    // Walk the index expression (respecting nested brackets): an
+    // identifier that legibly names a core — including the CoreId
+    // inside a cast — makes the access auditable; anything else
+    // (loop counters, pids, literals) is flagged.
+    int brackets = 1;
+    for (std::size_t k = 2; c.at(k) && brackets > 0; ++k) {
+        const Token &u = *c.at(k);
+        if (u.isPunct("["))
+            ++brackets;
+        else if (u.isPunct("]"))
+            --brackets;
+        else if (u.kind == TokKind::identifier &&
+                 isCoreishName(u.text))
+            return 0;
+    }
+    return c.line();
 }
 
 /** (rule index, line) pair recorded by the token matchers. */
@@ -160,24 +298,15 @@ struct TokenHit
 };
 
 /**
- * Run every active built-in rule over the token stream in one
- * pass.  @p active maps rule index -> enabled; matchers record one
- * hit per match (the caller dedupes per line).
+ * Run the rules at indices @p active over the token stream in one
+ * pass, one hit per match (the caller dedupes per line).
  */
-void
+std::vector<TokenHit>
 matchTokenRules(const std::vector<Token> &toks,
-                const std::vector<const LintRule *> &active,
-                std::vector<TokenHit> &hits)
+                const std::vector<std::size_t> &active)
 {
-    auto at = [&toks](std::size_t i) -> const Token * {
-        return i < toks.size() ? &toks[i] : nullptr;
-    };
-    auto enabled = [&active](std::size_t r) {
-        return active[r] != nullptr;
-    };
-    auto hit = [&hits](std::size_t r, std::size_t line) {
-        hits.push_back({r, line});
-    };
+    const std::vector<LintRule> &rules = Linter::rules();
+    std::vector<TokenHit> hits;
 
     // hot-alloc scope state: brace depth, an "armed" flag set by a
     // KLEB_HOT marker (cleared by a `;` before any body opens), and
@@ -187,10 +316,9 @@ matchTokenRules(const std::vector<Token> &toks,
     std::vector<int> hotBodies;
 
     for (std::size_t i = 0; i < toks.size(); ++i) {
+        // Scope tracking runs whether or not hot-alloc is active, so
+        // the state machine stays consistent.
         const Token &t = toks[i];
-
-        // Scope tracking (independent of any rule being enabled so
-        // the state machine stays consistent).
         if (t.isPunct("{")) {
             ++depth;
             if (hotArmed) {
@@ -207,126 +335,45 @@ matchTokenRules(const std::vector<Token> &toks,
             hotArmed = true;
         }
 
-        for (std::size_t r = 0; r < active.size(); ++r) {
-            if (!enabled(r))
-                continue;
-            const std::string &id = active[r]->id;
-
-            if (id == "wall-clock") {
-                if (t.isIdent("std") && at(i + 1) &&
-                    at(i + 1)->isPunct("::") && at(i + 2) &&
-                    at(i + 2)->isIdent("chrono") && at(i + 3) &&
-                    at(i + 3)->isPunct("::") && at(i + 4) &&
-                    identIn(*at(i + 4),
-                            {"system_clock", "steady_clock",
-                             "high_resolution_clock"}))
-                    hit(r, t.line);
-                if (identIn(t, {"gettimeofday", "clock_gettime",
-                                "localtime", "gmtime", "mktime",
-                                "asctime", "ctime", "time"}) &&
-                    at(i + 1) && at(i + 1)->isPunct("("))
-                    hit(r, t.line);
-            } else if (id == "raw-random") {
-                if (identIn(t, {"rand", "srand", "srandom",
-                                "drand48", "lrand48"}) &&
-                    at(i + 1) && at(i + 1)->isPunct("("))
-                    hit(r, t.line);
-                if (t.isIdent("std") && at(i + 1) &&
-                    at(i + 1)->isPunct("::") && at(i + 2) &&
-                    at(i + 2)->isIdent("random_device"))
-                    hit(r, t.line);
-                if (t.kind == TokKind::identifier &&
-                    t.text.starts_with("mt19937"))
-                    hit(r, t.line);
-            } else if (id == "event-new") {
-                if (t.isIdent("new")) {
-                    std::size_t j = i + 1;
-                    if (at(j) && at(j)->isIdent("klebsim") &&
-                        at(j + 1) && at(j + 1)->isPunct("::"))
-                        j += 2;
-                    if (at(j) && at(j)->isIdent("sim") &&
-                        at(j + 1) && at(j + 1)->isPunct("::"))
-                        j += 2;
-                    if (at(j) &&
-                        at(j)->isIdent("EventFunctionWrapper"))
-                        hit(r, t.line);
-                }
-            } else if (id == "raw-thread") {
-                if (t.isIdent("std") && at(i + 1) &&
-                    at(i + 1)->isPunct("::") && at(i + 2) &&
-                    identIn(*at(i + 2), {"thread", "jthread"}) &&
-                    !(at(i + 3) && at(i + 3)->isPunct("::")))
-                    hit(r, t.line);
-            } else if (id == "hot-std-function") {
-                if (t.isIdent("std") && at(i + 1) &&
-                    at(i + 1)->isPunct("::") && at(i + 2) &&
-                    at(i + 2)->isIdent("function") && at(i + 3) &&
-                    at(i + 3)->isPunct("<"))
-                    hit(r, t.line);
-            } else if (id == "printf-family") {
-                if (identIn(t, {"printf", "fprintf", "sprintf",
-                                "snprintf", "vsnprintf", "vsprintf",
-                                "vfprintf", "puts", "putchar",
-                                "fputs"}) &&
-                    at(i + 1) && at(i + 1)->isPunct("("))
-                    hit(r, t.line);
-                if (t.isIdent("std") && at(i + 1) &&
-                    at(i + 1)->isPunct("::") && at(i + 2) &&
-                    identIn(*at(i + 2), {"cout", "cerr"}))
-                    hit(r, t.line);
-            } else if (id == "mutex-raii") {
-                if ((t.isPunct(".") || t.isPunct("->")) &&
-                    at(i + 1) &&
-                    identIn(*at(i + 1), {"lock", "unlock"}) &&
-                    at(i + 2) && at(i + 2)->isPunct("("))
-                    hit(r, at(i + 1)->line);
-            } else if (id == "detached-thread") {
-                if ((t.isPunct(".") || t.isPunct("->")) &&
-                    at(i + 1) && at(i + 1)->isIdent("detach") &&
-                    at(i + 2) && at(i + 2)->isPunct("("))
-                    hit(r, at(i + 1)->line);
-            } else if (id == "percpu-access") {
-                if (t.kind == TokKind::identifier &&
-                    isPerCpuName(t.text) && at(i + 1) &&
-                    at(i + 1)->isPunct("[")) {
-                    // Walk the index expression (respecting nested
-                    // brackets): an identifier that legibly names a
-                    // core — including the CoreId inside a cast —
-                    // makes the access auditable; anything else
-                    // (loop counters, pids, literals) is flagged.
-                    bool coreish = false;
-                    int brackets = 1;
-                    for (std::size_t j = i + 2;
-                         at(j) && brackets > 0; ++j) {
-                        const Token &u = *at(j);
-                        if (u.isPunct("["))
-                            ++brackets;
-                        else if (u.isPunct("]"))
-                            --brackets;
-                        else if (u.kind == TokKind::identifier &&
-                                 isCoreishName(u.text))
-                            coreish = true;
-                    }
-                    if (!coreish)
-                        hit(r, t.line);
-                }
-            } else if (id == "hot-alloc") {
-                if (hotBodies.empty())
-                    continue;
-                if (t.isIdent("new"))
-                    hit(r, t.line);
-                if (identIn(t, {"make_unique", "make_shared"}))
-                    hit(r, t.line);
-                if ((t.isPunct(".") || t.isPunct("->")) &&
-                    at(i + 1) &&
-                    identIn(*at(i + 1),
-                            {"push_back", "emplace_back", "resize",
-                             "reserve"}) &&
-                    at(i + 2) && at(i + 2)->isPunct("("))
-                    hit(r, at(i + 1)->line);
-            }
-        }
+        const TokenCursor cursor{toks, i, !hotBodies.empty()};
+        for (std::size_t r : active)
+            if (std::size_t line = rules[r].match(cursor))
+                hits.push_back({r, line});
     }
+    return hits;
+}
+
+/** One `KLEB_FAULT_POINT(name, "key")` entry of the fault registry. */
+struct FaultPointEntry
+{
+    std::string name;
+    std::string key;
+    std::size_t line; //!< line of the KLEB_FAULT_POINT token
+};
+
+/**
+ * Every `KLEB_FAULT_POINT ( identifier , "key" )` sequence in the
+ * registry @p def_content.  Working on tokens drops comments (the
+ * table's own documentation shows the macro form) and sees entries
+ * written over several lines.
+ */
+std::vector<FaultPointEntry>
+faultPointEntries(const std::string &def_content)
+{
+    const std::vector<Token> toks = lexTokens(def_content);
+    std::vector<FaultPointEntry> out;
+    for (std::size_t i = 0; i + 5 < toks.size(); ++i) {
+        const Token *t = &toks[i];
+        const std::string &lit = t[4].text;
+        if (t[0].isIdent("KLEB_FAULT_POINT") && t[1].isPunct("(") &&
+            t[2].kind == TokKind::identifier && t[3].isPunct(",") &&
+            t[4].kind == TokKind::stringLit && lit.size() >= 2 &&
+            lit.front() == '"' && lit.back() == '"' &&
+            t[5].isPunct(")"))
+            out.push_back({t[2].text, lit.substr(1, lit.size() - 2),
+                           t[0].line});
+    }
+    return out;
 }
 
 } // anonymous namespace
@@ -341,81 +388,66 @@ LintViolation::str() const
                     rule.c_str(), text.c_str(), message.c_str());
 }
 
+const std::vector<LintRule> &
+Linter::rules()
+{
+    static const std::vector<std::string> everywhere = {
+        "src", "bench", "examples"};
+    static const std::vector<LintRule> table = {
+        {"wall-clock",
+         "host wall-clock APIs leak nondeterminism; use "
+         "simulated Ticks (base/types.hh)",
+         everywhere, matchWallClock},
+        {"raw-random",
+         "unseeded/global randomness breaks replay; draw from a "
+         "forked base/random stream",
+         everywhere, matchRawRandom},
+        {"event-new",
+         "raw wrapper allocation loses autoDelete ownership; "
+         "use EventQueue::scheduleLambda",
+         everywhere, matchEventNew},
+        {"raw-thread",
+         "raw thread construction bypasses the trial pool's "
+         "determinism contract; fan work out through "
+         "bench::TrialPool (bench_support/trial_pool.hh)",
+         everywhere, matchRawThread},
+        {"hot-std-function",
+         "std::function heap-allocates captured state on the "
+         "simulator's hot paths; store sim::InlineCallable "
+         "(sim/inline_callable.hh) or a concrete functor "
+         "instead (allowlist cold setup/configuration hooks)",
+         {"src/sim", "src/hw"}, matchHotStdFunction},
+        {"printf-family",
+         "raw stdio in the simulator; report through "
+         "base/logging or format with base/str",
+         {"src"}, matchPrintfFamily},
+        {"mutex-raii",
+         "bare lock()/unlock() can leak the mutex on early "
+         "return or throw; hold it through TrackedLock "
+         "(base/thread_safety.hh) or std::lock_guard",
+         everywhere, matchMutexRaii},
+        {"hot-alloc",
+         "KLEB_HOT functions are allocation-free by contract; "
+         "hoist the allocation out of the hot path or drop the "
+         "marker",
+         everywhere, matchHotAlloc},
+        {"detached-thread",
+         "a detached thread escapes every join/determinism "
+         "guarantee; fan work out through bench::TrialPool and "
+         "join it",
+         everywhere, matchDetachedThread},
+        {"percpu-access",
+         "per-CPU state indexed by something that is not "
+         "legibly a core id; index with the CoreId (or a "
+         "core/cpu-named variable) so cross-core aliasing is "
+         "auditable",
+         everywhere, matchPerCpuAccess},
+    };
+    return table;
+}
+
 Linter::Linter()
 {
-    addRule({"wall-clock",
-             R"(std::chrono::(system_clock|steady_clock|high_resolution_clock))"
-             R"(|\b(gettimeofday|clock_gettime|localtime|gmtime|mktime|asctime|ctime)\s*\()"
-             R"(|\btime\s*\()",
-             "host wall-clock APIs leak nondeterminism; use "
-             "simulated Ticks (base/types.hh)",
-             {"src", "bench", "examples"}});
-
-    addRule({"raw-random",
-             R"(\b(rand|srand|srandom|drand48|lrand48)\s*\()"
-             R"(|std::random_device|\bmt19937)",
-             "unseeded/global randomness breaks replay; draw from a "
-             "forked base/random stream",
-             {"src", "bench", "examples"}});
-
-    addRule({"event-new",
-             R"(new\s+(klebsim::)?(sim::)?EventFunctionWrapper)",
-             "raw wrapper allocation loses autoDelete ownership; "
-             "use EventQueue::scheduleLambda",
-             {"src", "bench", "examples"}});
-
-    addRule({"raw-thread",
-             R"(std::j?thread\b(?!::))",
-             "raw thread construction bypasses the trial pool's "
-             "determinism contract; fan work out through "
-             "bench::TrialPool (bench_support/trial_pool.hh)",
-             {"src", "bench", "examples"}});
-
-    addRule({"hot-std-function",
-             R"(std::function\s*<)",
-             "std::function heap-allocates captured state on the "
-             "simulator's hot paths; store sim::InlineCallable "
-             "(sim/inline_callable.hh) or a concrete functor "
-             "instead (allowlist cold setup/configuration hooks)",
-             {"src/sim", "src/hw"}});
-
-    addRule({"printf-family",
-             R"(\b(printf|fprintf|sprintf|snprintf|vsnprintf|vsprintf|vfprintf|puts|putchar|fputs)\s*\()"
-             R"(|std::(cout|cerr))",
-             "raw stdio in the simulator; report through "
-             "base/logging or format with base/str",
-             {"src"}});
-
-    addRule({"mutex-raii",
-             "", // token-structural: (.|->) lock/unlock (
-             "bare lock()/unlock() can leak the mutex on early "
-             "return or throw; hold it through TrackedLock "
-             "(base/thread_safety.hh) or std::lock_guard",
-             {"src", "bench", "examples"}});
-
-    addRule({"hot-alloc",
-             "", // token-structural: allocation inside a KLEB_HOT body
-             "KLEB_HOT functions are allocation-free by contract; "
-             "hoist the allocation out of the hot path or drop the "
-             "marker",
-             {"src", "bench", "examples"}});
-
-    addRule({"detached-thread",
-             "", // token-structural: (.|->) detach (
-             "a detached thread escapes every join/determinism "
-             "guarantee; fan work out through bench::TrialPool and "
-             "join it",
-             {"src", "bench", "examples"}});
-
-    addRule({"percpu-access",
-             "", // token-structural: perCpu container indexed by a
-                 // non-core expression
-             "per-CPU state indexed by something that is not "
-             "legibly a core id; index with the CoreId (or a "
-             "core/cpu-named variable) so cross-core aliasing is "
-             "auditable",
-             {"src", "bench", "examples"}});
-
     // Canonical carve-outs: the facilities the rules point at.
     allow("raw-random", "src/base/random");
     allow("printf-family", "src/base/logging.cc");
@@ -423,19 +455,6 @@ Linter::Linter()
     allow("event-new", "src/sim/event_queue.cc");
     allow("raw-thread", "src/bench_support/trial_pool");
     allow("mutex-raii", "src/base/thread_safety");
-}
-
-void
-Linter::addRule(const LintRule &rule)
-{
-    rules_.push_back(rule);
-    // Token-structural rules carry no regex; park an empty regex to
-    // keep the two vectors index-aligned.
-    compiled_.emplace_back(rule.pattern.empty()
-                               ? std::regex()
-                               : std::regex(rule.pattern,
-                                            std::regex::ECMAScript |
-                                                std::regex::optimize));
 }
 
 void
@@ -493,16 +512,6 @@ Linter::allowed(const std::string &rule_id,
 {
     for (const auto &[rule, prefix] : allow_)
         if (rule == rule_id && rel_path.starts_with(prefix))
-            return true;
-    return false;
-}
-
-bool
-Linter::ruleApplies(const LintRule &rule,
-                    const std::string &rel_path) const
-{
-    for (const std::string &dir : rule.dirs)
-        if (rel_path.starts_with(dir + "/"))
             return true;
     return false;
 }
@@ -574,80 +583,36 @@ Linter::scanSource(const std::string &rel_path,
                    const std::string &content) const
 {
     std::vector<LintViolation> out;
-
-    std::vector<std::string> lines;
-    std::string line;
-    std::istringstream in(content);
-    while (std::getline(in, line))
-        lines.push_back(line);
+    const std::vector<std::string> lines = splitLines(content);
 
     if (headerExtension(rel_path))
         checkGuard(rel_path, lines, out);
 
-    auto lineText = [&lines](std::size_t lineno) {
-        return lineno >= 1 && lineno <= lines.size()
-                   ? trimmed(lines[lineno - 1])
-                   : std::string();
-    };
+    std::vector<std::size_t> active;
+    for (std::size_t r = 0; r < rules().size(); ++r)
+        if (ruleApplies(rules()[r], rel_path) &&
+            !allowed(rules()[r].id, rel_path))
+            active.push_back(r);
+    if (active.empty())
+        return out;
 
-    // Token engine: every built-in rule matches structurally on one
-    // shared token stream.
-    std::vector<const LintRule *> active(rules_.size(), nullptr);
-    bool anyToken = false;
-    for (std::size_t r = 0; r < rules_.size(); ++r) {
-        const LintRule &rule = rules_[r];
-        if (!tokenImplemented(rule.id) ||
-            !ruleApplies(rule, rel_path) ||
-            allowed(rule.id, rel_path))
+    std::vector<TokenHit> hits =
+        matchTokenRules(lexTokens(content), active);
+    // Report per (rule, line) — a line that trips a rule twice is
+    // still one finding — ordered rule-major then by line.
+    std::sort(hits.begin(), hits.end(),
+              [](const TokenHit &a, const TokenHit &b) {
+                  return a.rule != b.rule ? a.rule < b.rule
+                                          : a.line < b.line;
+              });
+    const TokenHit *last = nullptr;
+    for (const TokenHit &h : hits) {
+        if (last && last->rule == h.rule && last->line == h.line)
             continue;
-        active[r] = &rule;
-        anyToken = true;
-    }
-    if (anyToken) {
-        const std::vector<Token> toks = lexTokens(content);
-        std::vector<TokenHit> hits;
-        matchTokenRules(toks, active, hits);
-        // Report per (rule, line) — a line that trips a rule twice
-        // is still one finding — ordered rule-major then by line,
-        // the order the line engine produced.
-        std::sort(hits.begin(), hits.end(),
-                  [](const TokenHit &a, const TokenHit &b) {
-                      return a.rule != b.rule ? a.rule < b.rule
-                                              : a.line < b.line;
-                  });
-        const TokenHit *last = nullptr;
-        for (const TokenHit &h : hits) {
-            if (last && last->rule == h.rule && last->line == h.line)
-                continue;
-            last = &h;
-            out.push_back({rules_[h.rule].id, rel_path, h.line,
-                           lineText(h.line),
-                           rules_[h.rule].message});
-        }
-    }
-
-    // Legacy line-regex engine for custom (non-built-in) rules.
-    bool anyRegex = false;
-    for (std::size_t r = 0; r < rules_.size(); ++r)
-        if (!rules_[r].pattern.empty() &&
-            !tokenImplemented(rules_[r].id))
-            anyRegex = true;
-    if (anyRegex) {
-        const std::vector<std::string> code =
-            stripCommentsAndStrings(lines);
-        for (std::size_t r = 0; r < rules_.size(); ++r) {
-            const LintRule &rule = rules_[r];
-            if (rule.pattern.empty() || tokenImplemented(rule.id) ||
-                !ruleApplies(rule, rel_path) ||
-                allowed(rule.id, rel_path))
-                continue;
-            for (std::size_t i = 0; i < code.size(); ++i) {
-                if (std::regex_search(code[i], compiled_[r]))
-                    out.push_back({rule.id, rel_path, i + 1,
-                                   trimmed(lines[i]),
-                                   rule.message});
-            }
-        }
+        last = &h;
+        out.push_back({rules()[h.rule].id, rel_path, h.line,
+                       lineText(lines, h.line),
+                       rules()[h.rule].message});
     }
     return out;
 }
@@ -662,10 +627,6 @@ Linter::checkFaultHookCoverage(
     std::vector<LintViolation> out;
     if (allowed(rule, def_rel_path))
         return out;
-
-    static const std::regex entry(
-        R"(KLEB_FAULT_POINT\(\s*([A-Za-z_]\w*))",
-        std::regex::ECMAScript | std::regex::optimize);
 
     auto references = [](const std::string &content,
                          const std::string &name) {
@@ -690,58 +651,31 @@ Linter::checkFaultHookCoverage(
                base.starts_with("fault_points.");
     };
 
-    std::vector<std::string> lines;
-    {
-        std::istringstream in(def_content);
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
-    }
-    // The spec key lives inside a string literal (which the stripper
-    // blanks), so key extraction matches the raw line — but only on
-    // lines that survive comment stripping, so the table's own
-    // documentation does not register entries.
-    static const std::regex keyed(
-        R"re(KLEB_FAULT_POINT\(\s*([A-Za-z_]\w*)\s*,\s*"([^"]*)")re",
-        std::regex::ECMAScript | std::regex::optimize);
-
-    // Strip comments so the table's own documentation (which shows
-    // the macro form) is not mistaken for an entry.
-    const std::vector<std::string> code =
-        stripCommentsAndStrings(lines);
+    const std::vector<std::string> lines = splitLines(def_content);
     std::map<std::string, std::size_t> seen_names;
     std::map<std::string, std::size_t> seen_keys;
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        const std::size_t lineno = i + 1;
-        std::smatch m;
-        if (!std::regex_search(code[i], m, entry))
-            continue;
-        const std::string name = m[1].str();
+    for (const FaultPointEntry &e : faultPointEntries(def_content)) {
+        const std::string &name = e.name;
+        const std::string text = lineText(lines, e.line);
 
         // Registering the same enumerator or the same spec key twice
         // would make the later entry shadow the earlier one in the
         // parser's if/else chain — one of the two faults becomes
         // unreachable from any spec string.
-        auto [name_it, name_fresh] =
-            seen_names.emplace(name, lineno);
+        auto [name_it, name_fresh] = seen_names.emplace(name, e.line);
         if (!name_fresh)
             out.push_back(
-                {rule, def_rel_path, lineno, trimmed(lines[i]),
+                {rule, def_rel_path, e.line, text,
                  csprintf("fault point '%s' is registered twice "
                           "(first registered on line %zu)",
                           name.c_str(), name_it->second)});
-        std::smatch km;
-        if (std::regex_search(lines[i], km, keyed)) {
-            const std::string key = km[2].str();
-            auto [key_it, key_fresh] =
-                seen_keys.emplace(key, lineno);
-            if (!key_fresh)
-                out.push_back(
-                    {rule, def_rel_path, lineno, trimmed(lines[i]),
-                     csprintf("fault spec key '%s' is registered "
-                              "twice (first registered on line %zu)",
-                              key.c_str(), key_it->second)});
-        }
+        auto [key_it, key_fresh] = seen_keys.emplace(e.key, e.line);
+        if (!key_fresh)
+            out.push_back(
+                {rule, def_rel_path, e.line, text,
+                 csprintf("fault spec key '%s' is registered "
+                          "twice (first registered on line %zu)",
+                          e.key.c_str(), key_it->second)});
 
         bool hooked = false;
         for (const auto &[rel, content] : sources) {
@@ -754,7 +688,7 @@ Linter::checkFaultHookCoverage(
         }
         if (!hooked)
             out.push_back(
-                {rule, def_rel_path, lineno, trimmed(lines[i]),
+                {rule, def_rel_path, e.line, text,
                  "fault point '" + name +
                      "' is registered but never wired to a hook "
                      "(no FaultPoint::" + name +
@@ -774,29 +708,9 @@ Linter::checkHeartbeatCoverage(
     if (allowed(rule, def_rel_path))
         return out;
 
-    // The spec key lives inside a string literal, so match the raw
-    // line — but only on lines that survive comment stripping, so
-    // the table's own documentation does not register entries.
-    static const std::regex entry(
-        R"re(KLEB_FAULT_POINT\(\s*([A-Za-z_]\w*)\s*,\s*"([^"]+)")re",
-        std::regex::ECMAScript | std::regex::optimize);
-
-    std::vector<std::string> lines;
-    {
-        std::istringstream in(def_content);
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
-    }
-    const std::vector<std::string> code =
-        stripCommentsAndStrings(lines);
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        if (code[i].find("KLEB_FAULT_POINT") == std::string::npos)
-            continue;
-        std::smatch m;
-        if (!std::regex_search(lines[i], m, entry))
-            continue;
-        const std::string key = m[2].str();
+    const std::vector<std::string> lines = splitLines(def_content);
+    for (const FaultPointEntry &e : faultPointEntries(def_content)) {
+        const std::string &key = e.key;
         if (!key.starts_with("controller.") &&
             !key.starts_with("log."))
             continue;
@@ -810,7 +724,7 @@ Linter::checkHeartbeatCoverage(
         }
         if (!exercised)
             out.push_back(
-                {rule, def_rel_path, i + 1, trimmed(lines[i]),
+                {rule, def_rel_path, e.line, lineText(lines, e.line),
                  "supervised-pipeline fault point '" + key +
                      "' is never injected by a chaos test under "
                      "tests/"});
@@ -853,7 +767,7 @@ Linter::checkAllowlistEntries(
 bool
 Linter::knownRule(const std::string &rule_id) const
 {
-    for (const LintRule &rule : rules_)
+    for (const LintRule &rule : rules())
         if (rule.id == rule_id)
             return true;
     return rule_id == "include-guard" ||

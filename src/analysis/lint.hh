@@ -15,6 +15,8 @@
  *  - event-new:     `new EventFunctionWrapper` outside the queue —
  *                   use EventQueue::scheduleLambda so autoDelete
  *                   ownership is handled;
+ *  - raw-thread:    std::thread/std::jthread construction — fan
+ *                   work out through bench::TrialPool;
  *  - hot-std-function: std::function in src/sim/ and src/hw/ — the
  *                   substrate's hot paths must not heap-allocate per
  *                   callback; store sim::InlineCallable or a
@@ -34,6 +36,9 @@
  *  - detached-thread: .detach() — a detached thread outlives every
  *                   determinism and shutdown guarantee the trial
  *                   pool makes; join through bench::TrialPool;
+ *  - percpu-access: per-CPU state indexed by an expression that
+ *                   names no core or cpu — cross-core aliasing must
+ *                   stay auditable;
  *  - include-guard: headers must carry the canonical KLEBSIM_*
  *                   guard derived from their path;
  *  - fault-hook-coverage: every fault point registered in the
@@ -56,20 +61,17 @@
  * lines); the canonical carve-outs (base/random, base/logging, the
  * queue itself) are built in.
  *
- * Scanning is token-level (see token_lexer.hh): rules match
+ * Scanning is token-level (see token_lexer.hh): every rule matches
  * identifier/punctuation sequences on a comment-, string- and
  * raw-string-aware token stream, with brace tracking for the
- * scope-sensitive rules.  Custom rules registered with a non-empty
- * regex pattern still run line-wise over comment/string-stripped
- * text (the pre-token engine), so downstream users can add ad-hoc
- * bans without writing a token matcher.
+ * scope-sensitive rules.  The rule set is fixed: one table in
+ * lint.cc holds each rule's id, message, directories and matcher.
  */
 
 #ifndef KLEBSIM_ANALYSIS_LINT_HH
 #define KLEBSIM_ANALYSIS_LINT_HH
 
 #include <cstddef>
-#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,20 +79,21 @@
 namespace klebsim::analysis
 {
 
+/** A matcher's view of the token stream (defined in lint.cc). */
+struct TokenCursor;
+
 /**
- * One rule (the include-guard check is built in).  Built-in rules
- * are matched structurally on the token stream; @p pattern is kept
- * as the executable reference semantics (the legacy line-regex
- * engine, which custom rules still run on and the parity tests
- * compare against).  Token-only structural rules (mutex-raii,
- * hot-alloc, detached-thread) have an empty pattern.
+ * One built-in token rule.  @p match inspects the token under the
+ * cursor and returns the 1-based line of a finding there, or 0.
+ * The include-guard and registry checks are tree-level and have no
+ * entry here.
  */
 struct LintRule
 {
     std::string id;
-    std::string pattern; //!< ECMAScript regex, applied per line
     std::string message;
     std::vector<std::string> dirs; //!< top-level dirs it applies to
+    std::size_t (*match)(const TokenCursor &);
 };
 
 struct LintViolation
@@ -108,13 +111,11 @@ struct LintViolation
 class Linter
 {
   public:
-    /** Installs the default rules and canonical carve-outs. */
+    /** Installs the canonical carve-outs. */
     Linter();
 
-    /** Register an additional pattern rule. */
-    void addRule(const LintRule &rule);
-
-    const std::vector<LintRule> &rules() const { return rules_; }
+    /** The built-in token rules, in report order. */
+    static const std::vector<LintRule> &rules();
 
     /** Exempt paths starting with @p path_prefix from @p rule_id. */
     void allow(const std::string &rule_id,
@@ -178,7 +179,7 @@ class Linter
     /**
      * Verify every file-loaded allowlist entry still matches at
      * least one path in @p files (repo-relative) AND names a rule
-     * this linter knows (pattern/token rules or one of the built-in
+     * this linter knows (a token rule or one of the tree-level
      * checks).  Dangling entries are reported against the allowlist
      * file itself, so pruning a source file — or retiring a rule —
      * forces its carve-outs to be pruned too.
@@ -186,7 +187,7 @@ class Linter
     std::vector<LintViolation> checkAllowlistEntries(
         const std::vector<std::string> &files) const;
 
-    /** True if @p rule_id names a pattern/token or built-in rule. */
+    /** True if @p rule_id names a token rule or tree-level check. */
     bool knownRule(const std::string &rule_id) const;
 
     /** Scan src/, bench/ and examples/ under @p root. */
@@ -197,9 +198,6 @@ class Linter
     static std::string expectedGuard(const std::string &rel_path);
 
   private:
-    bool ruleApplies(const LintRule &rule,
-                     const std::string &rel_path) const;
-
     void checkGuard(const std::string &rel_path,
                     const std::vector<std::string> &lines,
                     std::vector<LintViolation> &out) const;
@@ -213,8 +211,6 @@ class Linter
         std::size_t line;
     };
 
-    std::vector<LintRule> rules_;
-    std::vector<std::regex> compiled_;
     std::vector<std::pair<std::string, std::string>> allow_;
     std::vector<AllowlistEntry> loaded_;
 };

@@ -2,12 +2,12 @@
  * @file
  * Token-level C++ lexer for the lint pass.
  *
- * The line-regex scanner the linter started with could not see past
- * a line boundary and treated raw string literals as ordinary ones,
- * so a raw string with an embedded quote would leak half its body
- * back into "code".  This lexer produces a real token stream —
- * comment-, string-, char- and raw-string-aware, with 1-based line
- * numbers on every token — that the rules match structurally
+ * A per-line text scan cannot see past a line boundary and treats
+ * raw string literals as ordinary ones, so a raw string with an
+ * embedded quote leaks half its body back into "code".  This lexer
+ * produces a real token stream — comment-, string-, char- and
+ * raw-string-aware, with 1-based line numbers on every token — that
+ * every lint rule and the fault-registry parse match structurally
  * (identifier adjacency, brace depth) instead of textually.
  *
  * It is deliberately not a full C++ lexer: numbers are lumped into

@@ -57,6 +57,16 @@ parseU64(const std::string &v, std::uint64_t *out)
     return ec == std::errc() && p == last;
 }
 
+/**
+ * True if @p ticks converts to a Tick: NaN, infinities, negatives and
+ * values from 2^64 up are rejected, since casting them is undefined.
+ */
+bool
+tickRepresentable(double ticks)
+{
+    return ticks >= 0.0 && ticks < 0x1p64;
+}
+
 /** Parse "5ms" / "250us" / "1000" (bare ticks) into Ticks. */
 bool
 parseDuration(const std::string &v, Tick *out)
@@ -65,7 +75,7 @@ parseDuration(const std::string &v, Tick *out)
     const char *first = v.data();
     const char *last = v.data() + v.size();
     auto [p, ec] = std::from_chars(first, last, mag);
-    if (ec != std::errc() || mag < 0.0)
+    if (ec != std::errc())
         return false;
     std::string suffix(p, last);
     double scale;
@@ -80,6 +90,8 @@ parseDuration(const std::string &v, Tick *out)
     else if (suffix == "s")
         scale = static_cast<double>(tickPerSec);
     else
+        return false;
+    if (!tickRepresentable(mag * scale))
         return false;
     *out = static_cast<Tick>(mag * scale);
     return true;
@@ -217,8 +229,12 @@ FaultPlan::parse(const std::string &spec, FaultPlan *out,
         } else if (key == faultPointKey(FaultPoint::timerSpike)) {
             ok = parseProb(value, &plan.timerSpikeProb);
         } else if (key == "timer.spike.us") {
+            // A lateness that rounds to 0 ticks would render as
+            // "timer.spike.us=0", which this branch rejects.
             double us = 0.0;
-            ok = parseDouble(value, &us) && us > 0.0;
+            ok = parseDouble(value, &us) &&
+                 tickRepresentable(us * tickPerUs + 0.5) &&
+                 usToTicks(us) > 0;
             if (ok)
                 plan.timerSpikeLateness = usToTicks(us);
         } else if (key == faultPointKey(FaultPoint::counterWidth)) {
@@ -293,96 +309,78 @@ FaultPlan::parse(const std::string &spec, FaultPlan *out,
 std::string
 FaultPlan::str() const
 {
-    std::vector<std::string> parts;
+    std::string out;
+    auto put = [&out](const char *key, const std::string &value) {
+        if (!out.empty())
+            out += ';';
+        out.append(key).append(1, '=').append(value);
+    };
+    auto putPoint = [&put](FaultPoint point, const std::string &value) {
+        put(faultPointKey(point), value);
+    };
     if (seed != 0)
-        parts.push_back(csprintf("seed=%llu",
-                                 (unsigned long long)seed));
+        put("seed", std::to_string(seed));
     if (timerMissProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::timerMiss) +
-                        ("=" + probStr(timerMissProb)));
+        putPoint(FaultPoint::timerMiss, probStr(timerMissProb));
     if (timerSpikeProb > 0.0) {
-        parts.push_back(faultPointKey(FaultPoint::timerSpike) +
-                        ("=" + probStr(timerSpikeProb)));
-        parts.push_back("timer.spike.us=" +
-                        probStr(ticksToUs(timerSpikeLateness)));
+        putPoint(FaultPoint::timerSpike, probStr(timerSpikeProb));
+        put("timer.spike.us", probStr(ticksToUs(timerSpikeLateness)));
     }
     if (counterWidth != 0)
-        parts.push_back(csprintf("%s=%d",
-                                 faultPointKey(FaultPoint::counterWidth),
-                                 counterWidth));
+        putPoint(FaultPoint::counterWidth, std::to_string(counterWidth));
     if (ioctlFailProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::ioctlFail) +
-                        ("=" + probStr(ioctlFailProb)));
+        putPoint(FaultPoint::ioctlFail, probStr(ioctlFailProb));
     if (readFailProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::readFail) +
-                        ("=" + probStr(readFailProb)));
+        putPoint(FaultPoint::readFail, probStr(readFailProb));
     if (readerStall > 0) {
-        parts.push_back(faultPointKey(FaultPoint::readerStall) +
-                        ("=" + durationStr(readerStall)));
+        putPoint(FaultPoint::readerStall, durationStr(readerStall));
         if (readerStallProb < 1.0)
-            parts.push_back("reader.stall.p=" +
-                            probStr(readerStallProb));
+            put("reader.stall.p", probStr(readerStallProb));
     }
     if (moduleInitFails > 0)
-        parts.push_back(csprintf(
-            "%s=%d", faultPointKey(FaultPoint::moduleInitFail),
-            moduleInitFails));
+        putPoint(FaultPoint::moduleInitFail,
+                 std::to_string(moduleInitFails));
     if (targetCrashAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::targetCrash) +
-                        ("=" + durationStr(targetCrashAt)));
+        putPoint(FaultPoint::targetCrash, durationStr(targetCrashAt));
     if (controllerCrashAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::controllerCrash) +
-                        ("=" + durationStr(controllerCrashAt)));
+        putPoint(FaultPoint::controllerCrash,
+                 durationStr(controllerCrashAt));
     if (controllerHangAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::controllerHang) +
-                        ("=" + durationStr(controllerHangAt)));
+        putPoint(FaultPoint::controllerHang,
+                 durationStr(controllerHangAt));
     if (logTornTailBytes != 0)
-        parts.push_back(csprintf(
-            "%s=%llu", faultPointKey(FaultPoint::logTornTail),
-            (unsigned long long)logTornTailBytes));
+        putPoint(FaultPoint::logTornTail,
+                 std::to_string(logTornTailBytes));
     if (logBitflips > 0)
-        parts.push_back(csprintf(
-            "%s=%d", faultPointKey(FaultPoint::logBitflip),
-            logBitflips));
+        putPoint(FaultPoint::logBitflip, std::to_string(logBitflips));
     if (setPeriodFailProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::setPeriodFail) +
-                        ("=" + probStr(setPeriodFailProb)));
+        putPoint(FaultPoint::setPeriodFail, probStr(setPeriodFailProb));
     if (reprogramCrashNth > 0)
-        parts.push_back(csprintf(
-            "%s=%d", faultPointKey(FaultPoint::reprogramCrash),
-            reprogramCrashNth));
+        putPoint(FaultPoint::reprogramCrash,
+                 std::to_string(reprogramCrashNth));
     if (cpuOfflineAt != 0) {
-        parts.push_back(faultPointKey(FaultPoint::cpuOffline) +
-                        ("=" + durationStr(cpuOfflineAt)));
+        putPoint(FaultPoint::cpuOffline, durationStr(cpuOfflineAt));
         if (cpuOfflineCore != 0)
-            parts.push_back(csprintf("cpu.offline.core=%d",
-                                     cpuOfflineCore));
+            put("cpu.offline.core", std::to_string(cpuOfflineCore));
     }
     if (cpuOnlineAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::cpuOnline) +
-                        ("=" + durationStr(cpuOnlineAt)));
+        putPoint(FaultPoint::cpuOnline, durationStr(cpuOnlineAt));
     if (taskMigrateEvery != 0)
-        parts.push_back(faultPointKey(FaultPoint::taskMigrate) +
-                        ("=" + durationStr(taskMigrateEvery)));
+        putPoint(FaultPoint::taskMigrate, durationStr(taskMigrateEvery));
     if (pmuContendProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::pmuContend) +
-                        ("=" + probStr(pmuContendProb)));
+        putPoint(FaultPoint::pmuContend, probStr(pmuContendProb));
     if (machineCrashProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::machineCrash) +
-                        ("=" + probStr(machineCrashProb)));
+        putPoint(FaultPoint::machineCrash, probStr(machineCrashProb));
     if (linkDropProb > 0.0)
-        parts.push_back(faultPointKey(FaultPoint::linkDrop) +
-                        ("=" + probStr(linkDropProb)));
+        putPoint(FaultPoint::linkDrop, probStr(linkDropProb));
     if (linkDelayProb > 0.0) {
-        parts.push_back(faultPointKey(FaultPoint::linkDelay) +
-                        ("=" + probStr(linkDelayProb)));
-        parts.push_back("link.delay.by=" +
-                        durationStr(linkDelayBy));
+        putPoint(FaultPoint::linkDelay, probStr(linkDelayProb));
+        put("link.delay.by", durationStr(linkDelayBy));
     }
     if (collectorCrashAt != 0)
-        parts.push_back(faultPointKey(FaultPoint::collectorCrash) +
-                        ("=" + durationStr(collectorCrashAt)));
-    return join(parts, ";");
+        putPoint(FaultPoint::collectorCrash,
+                 durationStr(collectorCrashAt));
+    return out;
 }
 
 } // namespace klebsim::fault

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "base/random.hh"
 #include "fault/fault_plan.hh"
 
 using namespace klebsim;
@@ -111,6 +114,21 @@ TEST(FaultPlan, RejectsBadInput)
     EXPECT_FALSE(FaultPlan::parse("=value", &plan, &err));
 }
 
+TEST(FaultPlan, RejectsDurationsOutsideTickRange)
+{
+    // Converting these to Tick would be undefined behaviour, and a
+    // sub-tick spike lateness would render as an unparseable 0.
+    FaultPlan plan;
+    for (const char *spec :
+         {"reader.stall=inf", "reader.stall=nan", "target.crash=1e30s",
+          "controller.crash=-inf", "timer.spike.us=1e300",
+          "timer.spike.us=nan", "timer.spike.us=1e-9"})
+        EXPECT_FALSE(FaultPlan::parse(spec, &plan)) << spec;
+    // Values at the edges of the range still parse.
+    EXPECT_TRUE(FaultPlan::parse("reader.stall=18446744s", &plan));
+    EXPECT_TRUE(FaultPlan::parse("timer.spike.us=0.000001", &plan));
+}
+
 TEST(FaultPlan, FailedParseLeavesOutputUntouched)
 {
     FaultPlan plan;
@@ -136,6 +154,141 @@ TEST(FaultPlan, StrRoundTrips)
     EXPECT_EQ(again.counterWidth, plan.counterWidth);
     EXPECT_EQ(again.readerStall, plan.readerStall);
     EXPECT_EQ(again.targetCrashAt, plan.targetCrashAt);
+}
+
+namespace
+{
+
+/** A spec that sets every key, written out of canonical order. */
+const char *const everyKeySpec =
+    "collector.crash=1s;link.delay.by=500us;link.delay=0.2;"
+    "link.drop=0.1;machine.crash=0.3;pmu.contend=0.25;"
+    "task.migrate=250us;cpu.online=9ms;cpu.offline.core=1;"
+    "cpu.offline=6ms;reprogram.crash=2;module.set_period=0.4;"
+    "log.bitflip=3;log.torn_tail=16;controller.hang=40ns;"
+    "controller.crash=3ms;target.crash=12345;module.initfail=2;"
+    "reader.stall.p=0.5;reader.stall=5ms;read.fail=0.3;"
+    "ioctl.fail=0.2;pmu.width=24;timer.spike.us=80;"
+    "timer.spike=0.05;timer.miss=0.1;seed=7";
+
+/** One seeded edit of @p s, drawing splice material from @p corpus. */
+void
+mutate(std::string &s, Random &rng,
+       const std::vector<std::string> &corpus)
+{
+    auto pos = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(
+            rng.below(static_cast<std::uint32_t>(n + 1)));
+    };
+    switch (rng.below(4)) {
+      case 0: // flip one bit of one byte
+        if (!s.empty())
+            s[pos(s.size() - 1)] ^=
+                static_cast<char>(1u << rng.below(8));
+        break;
+      case 1: // truncate
+        s.resize(pos(s.size()));
+        break;
+      case 2: { // duplicate one ';' segment after itself
+        const std::size_t b = s.rfind(';', pos(s.size()));
+        const std::size_t begin = b == std::string::npos ? 0 : b + 1;
+        const std::size_t end = std::min(s.find(';', begin), s.size());
+        std::string dup(1, ';');
+        dup.append(s, begin, end - begin);
+        s.insert(end, dup);
+        break;
+      }
+      default: { // splice: our head onto another spec's tail
+        const std::string &other = corpus[rng.below(
+            static_cast<std::uint32_t>(corpus.size()))];
+        s.resize(pos(s.size()));
+        s.append(other, pos(other.size()));
+        break;
+      }
+    }
+}
+
+} // anonymous namespace
+
+TEST(FaultPlan, StrTextIsPinned)
+{
+    // Round-trip tests pass for any rendering both sides agree on;
+    // this pins the canonical text itself: key order, unit choice
+    // (1s renders as 1000ms, whole ns keep their unit, other ticks
+    // stay bare) and the auxiliary keys next to their points.
+    FaultPlan plan;
+    ASSERT_TRUE(FaultPlan::parse(everyKeySpec, &plan));
+    EXPECT_EQ(plan.str(),
+              "seed=7;timer.miss=0.1;timer.spike=0.05;"
+              "timer.spike.us=80;pmu.width=24;ioctl.fail=0.2;"
+              "read.fail=0.3;reader.stall=5ms;reader.stall.p=0.5;"
+              "module.initfail=2;target.crash=12345;"
+              "controller.crash=3ms;controller.hang=40ns;"
+              "log.torn_tail=16;log.bitflip=3;"
+              "module.set_period=0.4;reprogram.crash=2;"
+              "cpu.offline=6ms;cpu.offline.core=1;cpu.online=9ms;"
+              "task.migrate=250us;pmu.contend=0.25;"
+              "machine.crash=0.3;link.drop=0.1;link.delay=0.2;"
+              "link.delay.by=500us;collector.crash=1000ms");
+}
+
+TEST(FaultPlan, ParseSurvivesMutatedSpecs)
+{
+    // Deterministic mutation fuzzing of the spec parser, which reads
+    // untrusted bytes: every spec string in this file, mangled by a
+    // fixed seeded sequence of edits.  parse must never crash; an
+    // accepted spec must render to a str() that parses back to the
+    // same text; a rejected one must leave the output plan as it was
+    // (checked through str(), which every field of the all-keys
+    // starting plan shows up in).
+    const std::vector<std::string> corpus = {
+        everyKeySpec,
+        "seed=7;timer.miss=0.1;timer.spike=0.05;timer.spike.us=80;"
+        "pmu.width=24;ioctl.fail=0.2;read.fail=0.3;"
+        "reader.stall=5ms;reader.stall.p=0.5;module.initfail=2;"
+        "target.crash=2ms",
+        "module.set_period=0.4;reprogram.crash=2",
+        " pmu.width=16 ; ioctl.fail=0.5 ",
+        "reader.stall=250us", "reader.stall=40ns", "target.crash=1s",
+        "reader.stall=12345",
+        "seed=9;timer.miss=0.25;pmu.width=32;read.fail=0.1;"
+        "reader.stall=3ms;module.initfail=1;target.crash=7ms",
+        "machine.crash=0.3;link.drop=0.1;link.delay=0.2;"
+        "link.delay.by=500us;collector.crash=2ms",
+        "timer.miss=1.5", "pmu.width=4", "justakey", "=value",
+        "machine.crsh=0.3", "link.delay.bye=2ms"};
+
+    FaultPlan start;
+    ASSERT_TRUE(FaultPlan::parse(everyKeySpec, &start));
+    const std::string startText = start.str();
+
+    Random rng(0x5eedfa17);
+    int accepted = 0;
+    int rejected = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+        std::string spec = corpus[rng.below(
+            static_cast<std::uint32_t>(corpus.size()))];
+        for (std::uint32_t e = 1 + rng.below(3); e > 0; --e)
+            mutate(spec, rng, corpus);
+
+        FaultPlan plan = start;
+        std::string err;
+        if (FaultPlan::parse(spec, &plan, &err)) {
+            ++accepted;
+            FaultPlan again;
+            ASSERT_TRUE(FaultPlan::parse(plan.str(), &again, &err))
+                << "spec '" << spec << "' rendered '" << plan.str()
+                << "': " << err;
+            ASSERT_EQ(again.str(), plan.str()) << "spec '" << spec << "'";
+        } else {
+            ++rejected;
+            ASSERT_FALSE(err.empty()) << "spec '" << spec << "'";
+            ASSERT_EQ(plan.str(), startText) << "spec '" << spec << "'";
+        }
+    }
+    // Both outcomes are exercised, so neither branch is vacuous.
+    EXPECT_GT(accepted, 100);
+    EXPECT_GT(rejected, 100);
 }
 
 TEST(FaultPlan, PointTableIsComplete)
